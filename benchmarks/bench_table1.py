@@ -17,8 +17,8 @@ import pytest
 from repro.errors import ReproError
 from repro.bench.suite import TABLE1_CASES
 from repro.eqn.problem import build_latch_split_problem
+from repro.eqn.config import SolveConfig
 from repro.eqn.solver import solve_equation
-from repro.util.limits import ResourceLimit
 
 #: CSF sizes double-checked against both flows in tests; pinned here so a
 #: performance run also acts as a regression check of States(X).
@@ -37,11 +37,11 @@ CNC_CASES = [c for c in TABLE1_CASES if c.expect_mono_cnc]
 
 
 def solve_case(case, method):
-    problem = build_latch_split_problem(
-        case.network(), list(case.x_latches), max_nodes=case.max_nodes
+    config = SolveConfig(
+        method=method, max_seconds=case.max_seconds, max_nodes=case.max_nodes
     )
-    limit = ResourceLimit(max_seconds=case.max_seconds, max_nodes=case.max_nodes)
-    return solve_equation(problem, method=method, limit=limit)
+    problem = build_latch_split_problem(case.network(), list(case.x_latches), config)
+    return solve_equation(problem, config)
 
 
 @pytest.mark.parametrize("case", TABLE1_CASES, ids=lambda c: c.name)

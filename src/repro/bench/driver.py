@@ -2,12 +2,12 @@
 
 Runs the BDD-kernel microbenchmarks and the Table 1 solver benchmarks and
 writes two JSON artifacts (wall time, peak live node count, computed-table
-hit rate, GC activity per workload).  Invoke through the console script or
-the thin repo-root shim::
+hit rate, GC activity per workload).  Invoke through the console script
+(or ``python -m repro.cli bench`` from a source checkout)::
 
     repro bench --smoke                         # fast CI variant
     repro bench --list                          # list workloads, run nothing
-    python benchmarks/run_all.py                # full run (deprecated shim)
+    repro bench                                 # full run
     repro bench --baseline BENCH_kernel.json --tolerance 1.4
 
 Outputs (written to ``--out-dir``, default: the repository root):
@@ -35,12 +35,15 @@ import subprocess
 import sys
 import time
 from collections.abc import Callable
+from dataclasses import replace
 from pathlib import Path
 
 from repro._version import __version__
 from repro.bdd.manager import BddManager
 from repro.bdd.policy import GcPolicy, ReorderPolicy
 from repro.bench import circuits
+from repro.eqn.config import SolveConfig, add_arguments, command_fields, from_args
+from repro.errors import EquationError
 from repro.network.bddbuild import build_network_bdds
 from repro.obs.trace import current_tracer, install_tracer, uninstall_tracer
 from repro.symb.reach import network_reachable_states
@@ -635,25 +638,11 @@ def run_kernel(
 # --------------------------------------------------------------------- #
 
 
-def _run_table1_case(
-    case,
-    *,
-    reorder: str,
-    gc_mode: str,
-    row_name: str,
-    shards: int = 1,
-    frontier: str = "dfs",
-    batch: int = 1,
-    backend: str = "python",
-    product_order: str = "stacked",
-    resident_budget: int | None = None,
-    compose: bool = False,
-) -> dict:
+def _run_table1_case(case, config: SolveConfig, *, row_name: str) -> dict:
     from repro.eqn.problem import build_latch_split_problem
     from repro.eqn.solver import solve_equation
     from repro.errors import ReproError
     from repro.serve.keys import solve_cache_key
-    from repro.util.limits import ResourceLimit
 
     net = case.network()
     u_signals = list(case.u_signals) if case.u_signals else None
@@ -661,24 +650,24 @@ def _run_table1_case(
         "name": row_name,
         "io_cs": net.stats(),
         "paper_row": case.paper_row,
-        "reorder": reorder,
-        "gc": gc_mode,
-        "shards": shards,
-        "frontier": frontier,
-        "batch": batch,
-        "backend": backend,
-        "product_order": product_order,
-        "resident_budget": resident_budget,
-        "compose": compose,
+        **config.row(),
         "methods": {},
     }
     # Only the partitioned flow shards, spills, and composes; those
     # variant rows skip the monolithic baseline (on the budget/compose
     # cases it is an expected CNC anyway — burning the whole time budget
     # to record a foregone conclusion).
-    partitioned_only = shards > 1 or resident_budget is not None or compose
+    partitioned_only = (
+        config.shards > 1 or config.resident_budget is not None or config.compose
+    )
     methods = ("partitioned",) if partitioned_only else ("partitioned", "monolithic")
     for method in methods:
+        run = replace(
+            config,
+            method=method,
+            max_seconds=case.max_seconds,
+            max_nodes=case.max_nodes,
+        )
         # The same canonical problem hash the serve cache keys on: a row
         # and a served solve of the identical (circuit, split, flags)
         # combination carry the same key, making cached-vs-cold latency
@@ -690,40 +679,17 @@ def _run_table1_case(
             net,
             list(case.x_latches),
             u_signals=u_signals,
-            method=method,
-            reorder=reorder,
-            gc=gc_mode,
-            shards=shards if method == "partitioned" else 1,
-            frontier=frontier,
-            batch=batch,
-            backend=backend,
-            product_order=product_order,
+            backend=run.backend,
+            **run.values("result"),
         )
-        limit = ResourceLimit(max_seconds=case.max_seconds, max_nodes=case.max_nodes)
         gc.collect()
         trace_start = _trace_mark()
         t0 = time.perf_counter()
         try:
             problem = build_latch_split_problem(
-                net,
-                list(case.x_latches),
-                u_signals=u_signals,
-                max_nodes=case.max_nodes,
-                reorder=reorder,
-                gc=gc_mode,
-                backend=backend,
-                product_order=product_order,
+                net, list(case.x_latches), run, u_signals=u_signals
             )
-            result = solve_equation(
-                problem,
-                method=method,
-                limit=limit,
-                shards=shards,
-                frontier=frontier,
-                batch=batch,
-                resident_budget=resident_budget,
-                compose=compose,
-            )
+            result = solve_equation(problem, run)
         except ReproError:
             row["methods"][method] = {"cnc": True, "cache_key": key}
             print(f"  table1/{row_name:14s} {method:12s} CNC", flush=True)
@@ -853,103 +819,55 @@ def table1_row_names(
 
 def run_table1_bench(
     smoke: bool,
+    base: SolveConfig | None = None,
     *,
-    reorder: str = "off",
-    gc_mode: str = "static",
-    backend: str = "python",
-    product_order: str = "stacked",
     select: Callable[[str, str], bool] = _accept_all,
 ) -> list[dict]:
-    from repro.bench.suite import TABLE1_CASES
+    """Run the Table 1 rows under ``base`` plus, outside smoke runs, the
+    variant rows (each ``base`` with a few knobs replaced)."""
+    from repro.bench.suite import (
+        TABLE1_BENCH_ONLY_CASES,
+        TABLE1_CASES,
+        TABLE1_COMPOSE_CASES,
+    )
 
-    cases = _table1_base_cases(smoke)
-    rows = [
-        _run_table1_case(
-            case,
-            reorder=reorder,
-            gc_mode=gc_mode,
-            row_name=case.name,
-            backend=backend,
-            product_order=product_order,
-        )
-        for case in cases
-        if select("table1", case.name)
-    ]
+    base = base or SolveConfig()
+    jobs = [(case, case.name, base) for case in _table1_base_cases(smoke)]
     if not smoke:
+        by_name = {c.name: c for c in TABLE1_CASES}
+
+        def variants(names, suffix, cases=by_name, **knobs):
+            return [
+                (cases[n], f"{n}{suffix}", replace(base, **knobs))
+                for n in names
+                if n in cases
+            ]
+
         # Paper-scale @auto rows: the same instances with GC-triggered
         # dynamic reordering, recorded alongside the base rows so the
-        # CNC-vs-completes effect of reordering is part of the artifact.
-        by_name = {c.name: c for c in TABLE1_CASES}
-        for name in TABLE1_REORDER_VARIANTS:
-            case = by_name.get(name)
-            row_name = f"{name}@auto"
-            if case is None or reorder != "off":
-                continue  # an explicit --reorder run already covers these
-            if not select("table1", row_name):
-                continue
-            rows.append(
-                _run_table1_case(
-                    case,
-                    reorder="auto",
-                    gc_mode="adaptive",
-                    row_name=row_name,
-                    product_order=product_order,
-                )
+        # CNC-vs-completes effect of reordering is part of the artifact
+        # (an explicit --reorder run already covers these).
+        if base.reorder == "off":
+            jobs += variants(
+                TABLE1_REORDER_VARIANTS, "@auto", reorder="auto", gc="adaptive"
             )
         # Sharded-runtime rows: the partitioned flow on a 2-worker pool,
         # interpretable against the base row via meta.cpu_count.
-        for name in TABLE1_SHARD_VARIANTS:
-            case = by_name.get(name)
-            row_name = f"{name}@shards2"
-            if case is None or not select("table1", row_name):
-                continue
-            rows.append(
-                _run_table1_case(
-                    case,
-                    reorder=reorder,
-                    gc_mode=gc_mode,
-                    row_name=row_name,
-                    shards=2,
-                    product_order=product_order,
-                )
-            )
+        jobs += variants(TABLE1_SHARD_VARIANTS, "@shards2", shards=2)
         # Frontier-batched rows: BFS order, batches of 8 — the sibling
         # grouping that makes the incremental completion memo pay.
-        for name in TABLE1_BATCH_VARIANTS:
-            case = by_name.get(name)
-            row_name = f"{name}@batch8"
-            if case is None or not select("table1", row_name):
-                continue
-            rows.append(
-                _run_table1_case(
-                    case,
-                    reorder=reorder,
-                    gc_mode=gc_mode,
-                    row_name=row_name,
-                    frontier="bfs",
-                    batch=8,
-                    product_order=product_order,
-                )
-            )
+        jobs += variants(TABLE1_BATCH_VARIANTS, "@batch8", frontier="bfs", batch=8)
         # Interleaved-product-order rows: the same instance with each
         # S latch grouped next to its F twin.  Recorded only under the
         # default product order (an explicit --product-order interleaved
         # run already covers every base row interleaved).
-        if product_order == "stacked":
-            for name in TABLE1_INTERLEAVE_VARIANTS:
-                case = by_name.get(name)
-                row_name = f"{name}@interleave"
-                if case is None or not select("table1", row_name):
-                    continue
-                rows.append(
-                    _run_table1_case(
-                        case,
-                        reorder=reorder,
-                        gc_mode=gc_mode,
-                        row_name=row_name,
-                        product_order="interleaved",
-                    )
-                )
+        stacked = base.product_order == "stacked"
+        if stacked:
+            jobs += variants(
+                TABLE1_INTERLEAVE_VARIANTS,
+                "@interleave",
+                product_order="interleaved",
+            )
         # Bench-only rows (too slow for the per-case identity tests):
         # recorded through the batched engine, which is what makes their
         # completion-memo structure visible in the artifact.  Each case
@@ -958,33 +876,15 @@ def run_table1_bench(
         # genuinely diverge (twin16x4 favours interleaved by ~20% wall;
         # subset-dominated twin12_8 is near-indifferent), and the
         # artifact should show both sides on the same machine.
-        from repro.bench.suite import TABLE1_BENCH_ONLY_CASES
-
+        batched = replace(base, frontier="bfs", batch=8)
         for case in TABLE1_BENCH_ONLY_CASES:
-            row_name = f"{case.name}@batch8"
-            if select("table1", row_name):
-                rows.append(
-                    _run_table1_case(
+            jobs.append((case, f"{case.name}@batch8", batched))
+            if stacked:
+                jobs.append(
+                    (
                         case,
-                        reorder=reorder,
-                        gc_mode=gc_mode,
-                        row_name=row_name,
-                        frontier="bfs",
-                        batch=8,
-                        product_order=product_order,
-                    )
-                )
-            row_name = f"{case.name}@interleave+batch8"
-            if product_order == "stacked" and select("table1", row_name):
-                rows.append(
-                    _run_table1_case(
-                        case,
-                        reorder=reorder,
-                        gc_mode=gc_mode,
-                        row_name=row_name,
-                        frontier="bfs",
-                        batch=8,
-                        product_order="interleaved",
+                        f"{case.name}@interleave+batch8",
+                        replace(batched, product_order="interleaved"),
                     )
                 )
         # Memory-bounded rows: the same bench-only case through the same
@@ -992,67 +892,33 @@ def run_table1_bench(
         # row's spill/reload counters price the bounded peak against the
         # unbounded @batch8 row next to it (the results themselves are
         # byte-identical).
-        bench_only_by_name = {c.name: c for c in TABLE1_BENCH_ONLY_CASES}
-        for name in TABLE1_BUDGET_VARIANTS:
-            case = bench_only_by_name.get(name)
-            row_name = f"{name}@budget"
-            if case is None or not select("table1", row_name):
-                continue
-            rows.append(
-                _run_table1_case(
-                    case,
-                    reorder=reorder,
-                    gc_mode=gc_mode,
-                    row_name=row_name,
-                    frontier="bfs",
-                    batch=8,
-                    product_order=product_order,
-                    resident_budget=TABLE1_RESIDENT_BUDGET,
-                )
-            )
+        jobs += variants(
+            TABLE1_BUDGET_VARIANTS,
+            "@budget",
+            cases={c.name: c for c in TABLE1_BENCH_ONLY_CASES},
+            frontier="bfs",
+            batch=8,
+            resident_budget=TABLE1_RESIDENT_BUDGET,
+        )
         # Compositional rows: cases whose restricted U alphabet leaves a
         # conforming letter-free component, solved via the component
         # decomposition instead of the full product.  The same case
         # would be recorded CNC (or tens of seconds) solved directly;
         # the compose columns record what the decomposition skipped.
-        from repro.bench.suite import TABLE1_COMPOSE_CASES
-
-        for case in TABLE1_COMPOSE_CASES:
-            row_name = f"{case.name}@compose"
-            if not select("table1", row_name):
-                continue
-            rows.append(
-                _run_table1_case(
-                    case,
-                    reorder=reorder,
-                    gc_mode=gc_mode,
-                    row_name=row_name,
-                    product_order=product_order,
-                    compose=True,
-                )
-            )
+        compose = replace(base, compose=True)
+        jobs += [(c, f"{c.name}@compose", compose) for c in TABLE1_COMPOSE_CASES]
         # Native-kernel rows: the same case on the BuDDy adapter, only
         # where the library actually loads (never the silent fallback),
         # and only when the run's own backend is the default — an
         # explicit --backend buddy run already records every base row
         # natively.
-        if backend == "python" and _workload_available("@buddy"):
-            for name in TABLE1_BACKEND_VARIANTS:
-                case = by_name.get(name)
-                row_name = f"{name}@buddy"
-                if case is None or not select("table1", row_name):
-                    continue
-                rows.append(
-                    _run_table1_case(
-                        case,
-                        reorder=reorder,
-                        gc_mode=gc_mode,
-                        row_name=row_name,
-                        backend="buddy",
-                        product_order=product_order,
-                    )
-                )
-    return rows
+        if base.backend == "python" and _workload_available("@buddy"):
+            jobs += variants(TABLE1_BACKEND_VARIANTS, "@buddy", backend="buddy")
+    return [
+        _run_table1_case(case, config, row_name=row_name)
+        for case, row_name, config in jobs
+        if select("table1", row_name)
+    ]
 
 
 # --------------------------------------------------------------------- #
@@ -1413,39 +1279,15 @@ def main(argv: list[str] | None = None) -> int:
         default=1.5,
         help="max allowed slowdown factor vs the baseline (default 1.5)",
     )
-    parser.add_argument(
-        "--reorder",
-        default="off",
-        choices=("off", "auto", "sift"),
-        help="dynamic-reordering mode for the table1 solver runs",
-    )
-    parser.add_argument(
-        "--gc",
-        default="static",
-        choices=("static", "adaptive"),
-        help="GC tuning mode for the table1 solver runs",
-    )
-    parser.add_argument(
-        "--backend",
-        default="python",
-        choices=("python", "buddy"),
-        help=(
-            "BDD kernel for the table1 solver runs (kernel workloads "
-            "pin their own managers; @buddy variant rows run only "
-            "where the native library loads)"
-        ),
-    )
-    parser.add_argument(
-        "--product-order",
-        default="stacked",
-        choices=("stacked", "interleaved"),
-        help=(
-            "product variable order for the table1 solver runs "
-            "(@interleave variant rows are recorded only under the "
-            "default stacked order)"
-        ),
-    )
+    # The table1 solver runs' knobs (kernel workloads pin their own
+    # managers; @buddy variant rows run only where the native library
+    # loads, @interleave rows only under the default stacked order).
+    add_arguments(parser, "bench")
     args = parser.parse_args(argv)
+    try:
+        base = from_args(args, "bench")
+    except EquationError as exc:
+        parser.error(str(exc))
     select = make_workload_filter(args.only, args.skip)
     if args.list:
         print(list_workloads(select))
@@ -1496,33 +1338,20 @@ def main(argv: list[str] | None = None) -> int:
         select("table1", name)
         for name in table1_row_names(
             args.smoke,
-            reorder=args.reorder,
-            backend=args.backend,
-            product_order=args.product_order,
+            reorder=base.reorder,
+            backend=base.backend,
+            product_order=base.product_order,
         )
     )
     if run_table1_suite:
         if current_tracer() is None:
             install_tracer()  # table1 rows are ungated; record phases
         print("== table1 benchmarks ==", flush=True)
-        table1_rows = run_table1_bench(
-            args.smoke,
-            reorder=args.reorder,
-            gc_mode=args.gc,
-            backend=args.backend,
-            product_order=args.product_order,
-            select=select,
-        )
+        table1_rows = run_table1_bench(args.smoke, base, select=select)
+        bench_knobs = {name: getattr(base, name) for name in command_fields("bench")}
         payload = {
             "schema": SCHEMA_TABLE1,
-            "meta": meta(
-                args.smoke,
-                reorder=args.reorder,
-                gc=args.gc,
-                backend=args.backend,
-                product_order=args.product_order,
-                filtered=filtered,
-            ),
+            "meta": meta(args.smoke, **bench_knobs, filtered=filtered),
             "results": table1_rows,
         }
         out = args.out_dir / "BENCH_table1.json"

@@ -38,13 +38,13 @@ solutions with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.bdd.manager import FALSE
 from repro.automata.automaton import Automaton
+from repro.eqn.config import SolveConfig
 from repro.eqn.problem import EquationProblem
 from repro.obs.trace import span as obs_span
-from repro.util.limits import ResourceLimit
 from repro.util.timer import Stopwatch
 
 
@@ -282,20 +282,13 @@ def conjoin_solutions(solutions: list[Automaton]) -> Automaton:
 
 
 def solve_compositional(
-    problem: EquationProblem,
-    *,
-    limit: ResourceLimit | None = None,
-    schedule: bool = True,
-    shards: int = 1,
-    shard_opts: dict | None = None,
-    frontier: str = "dfs",
-    batch: int = 1,
-    resident_budget: int | None = None,
-    spill_dir: str | None = None,
+    problem: EquationProblem, config: SolveConfig | None = None
 ):
     """Solve ``problem`` compositionally, or ``None`` when the gate fails.
 
-    See the module docstring for the gate.  On success, returns a
+    See the module docstring for the gate.  The letterful sub-equation
+    is solved directly under ``config`` (default: all defaults; a
+    compose config is always the partitioned flow with trimming).  On success, returns a
     :class:`~repro.eqn.solver.SolveResult` whose solution has exactly
     the language of the direct solve (state counts differ — that is the
     point), carrying the original problem, ``compose: True`` options
@@ -327,17 +320,7 @@ def solve_compositional(
     mgr.ref(sub.init_cube)
     try:
         result = solve_equation(
-            sub,
-            method="partitioned",
-            limit=limit,
-            schedule=schedule,
-            trim=True,
-            shards=shards,
-            shard_opts=shard_opts,
-            frontier=frontier,
-            batch=batch,
-            resident_budget=resident_budget,
-            spill_dir=spill_dir,
+            sub, replace(config or SolveConfig(), compose=False)
         )
     finally:
         mgr.deref(sub.init_cube)
@@ -351,7 +334,6 @@ def solve_compositional(
         stats.extra["compose_solved_latches"] = plan.letterful.num_latches
     options = dict(result.options)
     options["compose"] = True
-    options["resident_budget"] = resident_budget
     return SolveResult(
         problem=problem,
         method=result.method,

@@ -65,12 +65,11 @@ of one ψ at a time.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from repro.bdd.cube import split_by_vars
 from repro.bdd.io import dump_nodes, load_nodes
 from repro.bdd.backends.protocol import BddBackend
 from repro.bdd.manager import FALSE
+from repro.eqn.config import SolveConfig
 from repro.errors import EquationError
 from repro.obs.trace import span as obs_span
 from repro.symb.image import image_partitioned, image_with_plan, plan_image
@@ -84,16 +83,24 @@ class PartitionedOracle:
     def __init__(
         self,
         problem: EquationProblem,
+        config: SolveConfig | None = None,
         *,
-        schedule: bool = True,
-        trim: bool = True,
-        shards: int = 1,
-        shard_opts: Mapping[str, object] | None = None,
         pool: "object | None" = None,
+        **knobs,
     ) -> None:
+        """Set up the partitions and image plans of ``problem``.
+
+        Reads ``schedule``, ``trim``, ``shards``, ``sift_parts``,
+        ``resident_budget`` and ``spill_dir`` from ``config`` (``knobs``
+        override its fields by name); the shard workers get the
+        residency budget and spill directory from it.
+        """
+        config = SolveConfig.resolve(config, **knobs)
         self.problem = problem
-        self.schedule = schedule
-        self.trim = trim
+        self.config = config
+        self.schedule = config.schedule
+        self.trim = config.trim
+        shards = config.shards
         mgr: BddBackend = problem.manager
         self.mgr = mgr
 
@@ -176,35 +183,21 @@ class PartitionedOracle:
         # jobs, resetting it between solves) is borrowed, not owned:
         # ``close`` leaves it running for the next job.
         self._owns_pool = pool is None
-        # Oracle-level shard options are popped before the rest is used
-        # as pool config: ``steal`` (default on) enables the
-        # work-stealing dispatcher for split-mode P batches,
-        # ``sift_parts`` lets each worker sift its resident partition
-        # into its own order profile after plan setup.
-        shard_opts = dict(shard_opts or {})
-        self._steal = bool(shard_opts.pop("steal", True))
-        sift_parts = bool(shard_opts.pop("sift_parts", False))
-        self._shard_opts = shard_opts
         if shards > 1:
             from repro.shard import ShardPool, ShardedImage
             from repro.shard.plan import load_parts, make_plan
+            from repro.shard.pool import manager_config
 
             self.p_plan = None
             self.q_plans = None
             if pool is None:
-                # Workers inherit the coordinator's node budget and
-                # runtime policies unless shard_opts overrides them: the
-                # CNC mechanism (max_nodes) must bound the shard managers
-                # too, or an exploding conjunction would grow unchecked
-                # in a worker the resource limit cannot see.
-                opts = {
-                    "max_nodes": mgr.max_nodes,
-                    "gc": mgr.gc_policy.mode,
-                    "reorder": mgr.reorder_policy.mode,
-                    "backend": getattr(mgr, "backend_name", "python"),
-                }
-                opts.update(shard_opts)
-                pool = ShardPool(shards, mgr.var_order(), **opts)
+                pool = ShardPool(
+                    shards,
+                    mgr.var_order(),
+                    **manager_config(mgr),
+                    resident_budget=config.resident_budget,
+                    spill_dir=config.spill_dir,
+                )
             elif pool.num_shards != shards:
                 raise EquationError(
                     f"external pool has {pool.num_shards} shards, "
@@ -244,7 +237,7 @@ class PartitionedOracle:
                     # batch traffic: race the two joins on the initial
                     # subset state and commit the winner.
                     self._p_sharded.resolve_race(self.init_cube)
-                if sift_parts:
+                if config.sift_parts:
                     # Per-shard order autonomy: every worker sifts its
                     # resident partition (parts + plans keep their
                     # edges) and the pool records the per-shard order
@@ -319,7 +312,7 @@ class PartitionedOracle:
                     stats["join_race"] = dict(self._p_sharded.race_outcome)
             if self._pool.profiles:
                 stats["shard_order_profiles"] = len(self._pool.profiles)
-            if self._shard_opts.get("resident_budget"):
+            if self.config.resident_budget:
                 spills = reloads = 0
                 for shard_stats in self._pool.stats():
                     spills += shard_stats.get("psi_spills", 0)
@@ -513,9 +506,8 @@ class PartitionedOracle:
         garbage collection can run in here (none of the joins collect),
         so the per-ψ intermediates are safe as plain locals.
 
-        When the P image is a split-mode join with stealing enabled
-        (the default), the P phase instead runs through the blocking
-        work-stealing dispatcher
+        When the P image is a split-mode join, the P phase instead runs
+        through the blocking work-stealing dispatcher
         (:meth:`~repro.shard.plan.ShardedImage.run_resident_batch`),
         which needs the pipes to itself: the retain acks are collected
         up front, and the Q/release traffic is pipelined after the P
@@ -526,7 +518,7 @@ class PartitionedOracle:
         pool = self._pool
         nshards = pool.num_shards
         n_out = len(self.nonconf)
-        stealing = self._steal and self._p_sharded.mode == "split"
+        stealing = self._p_sharded.mode == "split"
 
         # 1. Residency: each new ψ is serialized exactly once and
         #    retained in every worker's resident registry.

@@ -38,10 +38,12 @@ from dataclasses import dataclass, field
 
 from repro.bdd.backends.protocol import BddBackend
 from repro.bdd.policy import GcPolicy, ReorderPolicy
+from repro.eqn.config import KNOBS, SolveConfig
 from repro.errors import EquationError
 from repro.network.bddbuild import build_network_bdds
 from repro.network.transform import LatchSplit, latch_split
 from repro.network.netlist import Network
+from repro.obs.trace import span as obs_span
 
 
 @dataclass
@@ -178,10 +180,10 @@ def build_problem(
     """
     from repro.bdd.backends import create_manager
 
-    if product_order not in ("stacked", "interleaved"):
+    orders = KNOBS["product_order"].choices
+    if product_order not in orders:
         raise EquationError(
-            f"unknown product_order: {product_order!r} "
-            "(expected 'stacked' or 'interleaved')"
+            f"unknown product_order {product_order!r}; choose from {orders}"
         )
     original = split.original
     fixed = split.fixed
@@ -307,21 +309,25 @@ def build_problem(
 def build_latch_split_problem(
     net: Network,
     x_latches,
+    config: SolveConfig | None = None,
     *,
     u_signals=None,
-    max_nodes: int | None = None,
-    reorder: str = "off",
-    gc: str = "static",
-    backend: str = "python",
-    product_order: str = "stacked",
+    **knobs,
 ) -> EquationProblem:
-    """Latch-split ``net`` and build the equation problem in one call."""
+    """Latch-split ``net`` and build the equation problem in one call.
+
+    The manager is set up from the config's build-time knobs
+    (``max_nodes``, ``reorder``, ``gc``, ``backend``, ``product_order``);
+    ``knobs`` override fields of ``config`` by name.
+    """
+    config = SolveConfig.resolve(config, **knobs)
     split = latch_split(net, x_latches, u_signals=u_signals)
-    return build_problem(
-        split,
-        max_nodes=max_nodes,
-        reorder=reorder,
-        gc=gc,
-        backend=backend,
-        product_order=product_order,
-    )
+    with obs_span("build_problem", network=net.name, backend=config.backend):
+        return build_problem(
+            split,
+            max_nodes=config.max_nodes,
+            reorder=config.reorder,
+            gc=config.gc,
+            backend=config.backend,
+            product_order=config.product_order,
+        )

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 from repro.errors import ReproError
 from repro.bench.suite import TABLE1_CASES, SplitCase
+from repro.eqn.config import SolveConfig
 from repro.eqn.problem import build_latch_split_problem
 from repro.eqn.solver import solve_equation
-from repro.util.limits import ResourceLimit
 from repro.util.tables import format_table
 from repro.util.timer import Stopwatch
 
@@ -73,13 +73,13 @@ def run_method(
     """
     if net is None:
         net = case.network()
-    limit = ResourceLimit(max_seconds=case.max_seconds, max_nodes=case.max_nodes)
+    config = SolveConfig(
+        method=method, max_seconds=case.max_seconds, max_nodes=case.max_nodes
+    )
     watch = Stopwatch()
     try:
-        problem = build_latch_split_problem(
-            net, list(case.x_latches), max_nodes=case.max_nodes
-        )
-        result = solve_equation(problem, method=method, limit=limit)
+        problem = build_latch_split_problem(net, list(case.x_latches), config)
+        result = solve_equation(problem, config)
     except ReproError:
         return None, None
     return watch.elapsed(), result.csf_states

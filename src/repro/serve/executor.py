@@ -23,7 +23,6 @@ import traceback
 from repro.errors import ReproError, SolveCancelled
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import span as obs_span
 from repro.serve.jobs import Job, JobRegistry
 from repro.serve.payload import dump_result
 from repro.serve.store import ResultStore
@@ -228,30 +227,17 @@ class SolveExecutor:
     # ------------------------------------------------------------------ #
 
     def _solve(self, job: Job) -> dict:
-        from repro.eqn.problem import build_problem
+        from repro.eqn.problem import build_latch_split_problem
         from repro.eqn.solver import solve_equation
         from repro.network.blif import parse_blif
-        from repro.network.transform import latch_split
-        from repro.util.limits import ResourceLimit
 
-        spec, options = job.spec, job.options
-        net = parse_blif(spec["blif"])
-        split = latch_split(net, spec["x_latches"], u_signals=spec["u_signals"])
-        max_nodes = options.get("max_nodes")
-        with obs_span("build_problem", network=net.name, job=job.id):
-            problem = build_problem(
-                split,
-                max_nodes=max_nodes,
-                reorder=spec["reorder"],
-                gc=spec["gc"],
-                backend=options.get("backend", "python"),
-                product_order=spec.get("product_order", "stacked"),
-            )
-        limit = None
-        if options.get("max_seconds") is not None or max_nodes is not None:
-            limit = ResourceLimit(
-                max_seconds=options.get("max_seconds"), max_nodes=max_nodes
-            )
+        spec, config = job.spec, job.config
+        problem = build_latch_split_problem(
+            parse_blif(spec["blif"]),
+            spec["x_latches"],
+            config,
+            u_signals=spec["u_signals"],
+        )
 
         def on_progress(event: dict) -> None:
             self.registry.add_event(job, {"type": "progress", **event})
@@ -271,7 +257,7 @@ class SolveExecutor:
             )
 
         resume = None
-        if options.get("resume", True):
+        if job.resume:
             resume = self.store.get_checkpoint(job.key)
             if resume is not None:
                 job.resumed = True
@@ -284,52 +270,29 @@ class SolveExecutor:
                     },
                 )
         pool = None
-        if spec["method"] == "partitioned" and spec["shards"] > 1:
-            pool = self._ensure_pool(
-                problem.manager,
-                spec["shards"],
-                resident_budget=options.get("resident_budget"),
-            )
+        if config.shards > 1:
+            pool = self._ensure_pool(problem.manager, config)
+        checkpointing = config.checkpoint_every or config.checkpoint_seconds
         result = solve_equation(
             problem,
-            method=spec["method"],
-            limit=limit,
-            schedule=spec["schedule"],
-            trim=spec["trim"],
-            shards=spec["shards"],
-            frontier=spec["frontier"],
-            batch=spec["batch"],
+            config,
             pool=pool,
             progress=on_progress,
             cancel=job.cancel_event.is_set,
-            checkpoint=(
-                on_checkpoint
-                if options.get("checkpoint_every")
-                or options.get("checkpoint_seconds")
-                else None
-            ),
-            checkpoint_every=int(options.get("checkpoint_every") or 0),
-            checkpoint_seconds=float(options.get("checkpoint_seconds") or 0.0),
+            checkpoint=on_checkpoint if checkpointing else None,
             resume=resume,
-            resident_budget=options.get("resident_budget"),
         )
         return dump_result(result, cache_key=job.key)
 
-    def _ensure_pool(self, mgr, shards: int, *, resident_budget=None):
+    def _ensure_pool(self, mgr, config):
         """Reset the warm pool for this problem, re-forking when needed."""
-        from repro.shard.pool import ShardError, ShardPool
+        from repro.shard.pool import ShardError, ShardPool, manager_config
 
-        opts = {
-            "max_nodes": mgr.max_nodes,
-            "gc": mgr.gc_policy.mode,
-            "reorder": mgr.reorder_policy.mode,
-            "backend": getattr(mgr, "backend_name", "python"),
-            # A runtime knob like the rest: workers spill their resident
-            # registries to private stores under this budget (and the
-            # next job's reset clears it again when unset).
-            "resident_budget": resident_budget,
-        }
-        if self._pool is not None and self._pool.num_shards == shards:
+        # Workers spill their resident registries to private stores
+        # under the job's budget (the next job's reset clears it again
+        # when unset).
+        opts = {**manager_config(mgr), "resident_budget": config.resident_budget}
+        if self._pool is not None and self._pool.num_shards == config.shards:
             try:
                 self._pool.reset(mgr.var_order(), **opts)
                 return self._pool
@@ -339,7 +302,7 @@ class SolveExecutor:
                 self._close_pool()
         else:
             self._close_pool()
-        self._pool = ShardPool(shards, mgr.var_order(), **opts)
+        self._pool = ShardPool(config.shards, mgr.var_order(), **opts)
         return self._pool
 
     def _close_pool(self) -> None:

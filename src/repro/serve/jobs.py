@@ -1,6 +1,7 @@
 """Job objects and the thread-safe registry behind the server.
 
-A job is one submitted solve: its canonical spec and cache key, a
+A job is one submitted solve: its canonical spec and cache key, the
+validated :class:`~repro.eqn.config.SolveConfig` it runs under, a
 lifecycle status, a monotonically numbered event stream (what the
 client polls with ``?since=N``) and a cancellation flag the subset
 driver checks at every batch boundary.
@@ -24,6 +25,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from repro.eqn.config import SolveConfig
 from repro.errors import ServeError
 
 #: Legal job states.
@@ -40,7 +42,8 @@ class Job:
     id: str
     spec: dict
     key: str
-    options: dict = field(default_factory=dict)  # budgets, checkpointing
+    config: SolveConfig = field(default_factory=SolveConfig)
+    resume: bool = True  # continue from a persisted checkpoint if any
     status: str = "queued"
     cached: bool = False
     resumed: bool = False

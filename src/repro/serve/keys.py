@@ -13,9 +13,10 @@ What is part of the key
   and re-emitted by :func:`repro.network.blif.write_blif`, so
   whitespace, cover-row order and comment differences between
   textually distinct but structurally identical netlists vanish;
-* the split (``x_latches``, ``u_signals``) and the flow (``method``);
-* every solver flag: ``schedule``, ``trim``, ``reorder``, ``gc``,
-  ``shards``, ``frontier``, ``batch``, ``product_order``.
+* the split (``x_latches``, ``u_signals``);
+* every ``result``-role field of :class:`~repro.eqn.config.SolveConfig`
+  (``method``, ``schedule``, ``trim``, ``reorder``, ``gc``, ``shards``,
+  ``frontier``, ``batch``, ``product_order``), defaults made explicit.
 
 Flags like ``--reorder`` or ``--shards`` provably do not change the
 solved language — but they are hashed anyway, for three reasons.
@@ -34,10 +35,12 @@ get distinct keys.
 What is *not* part of the key
 -----------------------------
 
-Resource budgets (``max_seconds``, ``max_nodes``) and serving knobs
-(``checkpoint_every``, resume requests) — they bound *whether* a solve
-completes, never what it produces.  The BDD ``backend`` is excluded for
-the same reason, deliberately and in the *opposite* direction from
+The ``cost``-role fields — budgets, checkpoint cadence, residency,
+composition — and resume requests: they bound *whether* or how cheaply
+a solve completes, never what it produces.  :func:`job_spec` rejects
+them as unknown flags.  The ``validated``-role BDD ``backend`` is
+excluded for the same reason, deliberately and in the *opposite*
+direction from
 ``reorder``/``shards``: backends are required to be byte-identical on
 the wire (the conformance kit enforces canonical snapshots, and the
 differential suite checks byte-identical KISS output per backend), so
@@ -51,35 +54,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
-from repro.errors import ServeError
+from repro.eqn.config import RESULT_FIELDS, VALIDATED_FIELDS, SolveConfig
+from repro.errors import EquationError, ServeError
 
 #: Version tag of the canonical spec layout (bump on field changes).
 SPEC_FORMAT = "repro-serve-spec/2"
 
-#: Solver-flag fields of a spec, with their defaults.  ``product_order``
-#: is hashed for the same reason ``reorder``/``shards`` are: the
-#: identity tests prove the produced KISS bytes are order-independent,
-#: but the cached stats block (peak nodes, wall time, sift counters) is
-#: not, and the bench driver's ``@interleave`` variant rows need
-#: distinct keys to stay attributable.
-FLAG_DEFAULTS = {
-    "method": "partitioned",
-    "schedule": True,
-    "trim": True,
-    "reorder": "off",
-    "gc": "static",
-    "shards": 1,
-    "frontier": "dfs",
-    "batch": 1,
-    "product_order": "stacked",
-}
-
-#: Flags a spec accepts (and validates) but never hashes: they are
-#: guaranteed not to change the produced bytes.  ``backend`` picks the
-#: BDD kernel — a pure speed knob under the conformance contract.
-EXCLUDED_FLAGS = ("backend",)
+#: Flags :func:`job_spec` accepts: hashed and validated-only fields.
+SPEC_FLAGS = RESULT_FIELDS + VALIDATED_FIELDS
 
 
 def canonical_blif(blif: "str | object") -> str:
@@ -96,6 +80,22 @@ def canonical_blif(blif: "str | object") -> str:
     return write_blif(blif)
 
 
+def checked_config(knobs: Mapping, allowed: Iterable[str]) -> SolveConfig:
+    """A :class:`SolveConfig` from submitted knobs, or a :class:`ServeError`.
+
+    Names outside ``allowed`` are rejected (a misspelled flag silently
+    falling back to its default would alias distinct problems onto one
+    cache entry), and so is every value the config refuses.
+    """
+    unknown = set(knobs) - set(allowed)
+    if unknown:
+        raise ServeError(f"unknown solver flags in job spec: {sorted(unknown)}")
+    try:
+        return SolveConfig(**knobs)
+    except EquationError as exc:
+        raise ServeError(str(exc)) from None
+
+
 def job_spec(
     blif: "str | object",
     x_latches: Sequence[str],
@@ -105,35 +105,21 @@ def job_spec(
 ) -> dict:
     """Build the canonical spec dict for one solve.
 
-    ``blif`` may be BLIF text or a parsed ``Network``.  Unknown flag
-    names raise :class:`~repro.errors.ServeError` (a misspelled flag
-    silently falling back to its default would alias distinct problems
-    onto one cache entry).  ``backend`` is accepted and validated but
-    **excluded** from the spec: two submissions differing only in
-    backend are the same problem and must collide on the cache.
+    ``blif`` may be BLIF text or a parsed ``Network``; ``flags`` are
+    :data:`SPEC_FLAGS` fields, validated through :class:`SolveConfig`
+    (anything else raises :class:`~repro.errors.ServeError`).
+    ``backend`` is accepted and validated but **excluded** from the
+    spec: two submissions differing only in backend are the same
+    problem and must collide on the cache.
     """
-    flags = dict(flags)
-    backend = flags.pop("backend", None)
-    if backend is not None:
-        from repro.bdd.backends import BACKEND_CHOICES
-
-        if backend not in BACKEND_CHOICES:
-            raise ServeError(
-                f"unknown BDD backend {backend!r}; "
-                f"choose from {BACKEND_CHOICES}"
-            )
-    unknown = set(flags) - set(FLAG_DEFAULTS)
-    if unknown:
-        raise ServeError(f"unknown solver flags in job spec: {sorted(unknown)}")
-    spec = {
+    config = checked_config(flags, SPEC_FLAGS)
+    return {
         "format": SPEC_FORMAT,
         "blif": canonical_blif(blif),
         "x_latches": sorted(x_latches),
         "u_signals": sorted(u_signals) if u_signals is not None else None,
+        **config.values("result"),
     }
-    for name, default in FLAG_DEFAULTS.items():
-        spec[name] = flags.get(name, default)
-    return spec
 
 
 def cache_key(spec: dict) -> str:

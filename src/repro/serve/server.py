@@ -34,11 +34,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from repro._version import __version__
+from repro.eqn.config import SERVED_FIELDS, SolveConfig
 from repro.errors import ServeError
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.executor import SolveExecutor, _result_summary
 from repro.serve.jobs import JobRegistry
-from repro.serve.keys import FLAG_DEFAULTS, cache_key, job_spec
+from repro.serve.keys import cache_key, checked_config, job_spec
 from repro.serve.payload import load_result, result_kiss
 from repro.serve.store import ResultStore
 from repro.util.timer import Stopwatch
@@ -47,19 +48,35 @@ from repro.util.timer import Stopwatch
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8642
 
-#: Per-job runtime options accepted alongside the spec fields (none of
-#: these participate in the cache key; ``backend`` is validated by
-#: :func:`~repro.serve.keys.job_spec` and then excluded — backends are
-#: byte-identical, so it is a runtime knob, not part of the problem).
-OPTION_FIELDS = (
-    "max_seconds",
-    "max_nodes",
-    "checkpoint_every",
-    "checkpoint_seconds",
-    "resume",
-    "backend",
-    "resident_budget",
-)
+
+def parse_submit(body: dict) -> tuple[SolveConfig, dict]:
+    """The validated config and canonical spec of a submit body.
+
+    A body holds the problem (``blif``, ``x_latches``, optional
+    ``u_signals``), an optional ``resume`` flag and any
+    :data:`~repro.eqn.config.SERVED_FIELDS` knob.  Every knob is
+    validated here, before anything is hashed or queued; only the
+    result-role fields reach the spec.  Raises
+    :class:`~repro.errors.ServeError` (HTTP 400).
+    """
+    if not isinstance(body, dict):
+        raise ServeError("submit body must be a JSON object")
+    for required in ("blif", "x_latches"):
+        if required not in body:
+            raise ServeError(f"submit body is missing {required!r}")
+    knobs = {
+        k: v
+        for k, v in body.items()
+        if k not in ("blif", "x_latches", "u_signals", "resume")
+    }
+    config = checked_config(knobs, SERVED_FIELDS)
+    spec = job_spec(
+        body["blif"],
+        body["x_latches"],
+        u_signals=body.get("u_signals"),
+        **config.values("result"),
+    )
+    return config, spec
 
 
 class ServeApp:
@@ -89,36 +106,20 @@ class ServeApp:
 
     def submit(self, body: dict):
         """Validate a submit body, consult the cache, enqueue on a miss."""
-        if not isinstance(body, dict):
-            raise ServeError("submit body must be a JSON object")
-        for required in ("blif", "x_latches"):
-            if required not in body:
-                raise ServeError(f"submit body is missing {required!r}")
-        known = {"blif", "x_latches", "u_signals", *FLAG_DEFAULTS, *OPTION_FIELDS}
-        unknown = set(body) - known
-        if unknown:
-            # A typo'd flag must not silently alias onto its default.
-            raise ServeError(f"unknown solver flags in job spec: {sorted(unknown)}")
-        # ``backend`` rides along so job_spec validates it, then drops
-        # it from the spec (and therefore from the cache key).
-        flags = {k: body[k] for k in (*FLAG_DEFAULTS, "backend") if k in body}
-        spec = job_spec(
-            body["blif"],
-            body["x_latches"],
-            u_signals=body.get("u_signals"),
-            **flags,
-        )
+        config, spec = parse_submit(body)
         key = cache_key(spec)
-        options = {k: body[k] for k in OPTION_FIELDS if k in body}
+        resume = body.get("resume", True)
         cached = self.store.get(key)
         if cached is not None:
-            job = self.registry.create(spec, key, options=options, cached=True)
+            job = self.registry.create(
+                spec, key, config=config, resume=resume, cached=True
+            )
             job.summary = _result_summary(cached, cached=True)
             self.registry.add_event(job, {"type": "cache_hit", "cache_key": key})
             self.registry.set_status(job, "done")
             self.metrics.counter("repro_cache_hits_total", "").inc()
             return job
-        job = self.registry.create(spec, key, options=options)
+        job = self.registry.create(spec, key, config=config, resume=resume)
         self.registry.add_event(job, {"type": "queued", "cache_key": key})
         self.executor.enqueue(job)
         return job

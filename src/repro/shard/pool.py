@@ -29,6 +29,22 @@ class ShardError(ReproError):
     """A shard worker failed or died mid-command."""
 
 
+def manager_config(mgr) -> dict:
+    """Worker-manager options inherited from the coordinator's manager.
+
+    The node budget must bound the shard managers too — the CNC
+    mechanism — or an exploding conjunction would grow unchecked in a
+    worker the resource limit cannot see; the runtime policies and the
+    backend follow the coordinator so results stay identical.
+    """
+    return {
+        "max_nodes": mgr.max_nodes,
+        "gc": mgr.gc_policy.mode,
+        "reorder": mgr.reorder_policy.mode,
+        "backend": getattr(mgr, "backend_name", "python"),
+    }
+
+
 class ShardPool:
     """A set of persistent shard workers, addressed by index.
 

@@ -23,7 +23,6 @@ from repro.automata.kiss import write_kiss
 from repro.bdd.backends import backend_available
 from repro.bench.suite import TABLE1_CASES, case_by_name
 from repro.eqn.solver import solve_latch_split
-from repro.util.limits import ResourceLimit
 
 #: Small, fast Table 1 rows for the always-on identity check.
 FAST_CASES = ("s27", "count6", "johnson8")
@@ -31,11 +30,12 @@ FAST_CASES = ("s27", "count6", "johnson8")
 
 def _solve(case, backend: str | None):
     kwargs = {} if backend is None else {"backend": backend}
-    limit = ResourceLimit(
-        max_seconds=case.max_seconds, max_nodes=case.max_nodes
-    )
     return solve_latch_split(
-        case.network(), list(case.x_latches), limit=limit, **kwargs
+        case.network(),
+        list(case.x_latches),
+        max_seconds=case.max_seconds,
+        max_nodes=case.max_nodes,
+        **kwargs,
     )
 
 

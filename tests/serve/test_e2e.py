@@ -310,6 +310,28 @@ class TestBackendOption:
             )
 
 
+class TestSubmitValidation:
+    """A refused knob is an HTTP 400 at submit: nothing is hashed, queued
+    or left to fail on the executor thread."""
+
+    @pytest.mark.parametrize(
+        "knobs,match",
+        [
+            ({"shards": "2"}, "shards must be int"),
+            # 0 used to be solved in-process under a key distinct from
+            # shards=1's, caching the same bytes twice.
+            ({"shards": 0}, "shards must be >= 1"),
+            ({"frontier": "xyz"}, "unknown frontier strategy"),
+            ({"batch": 0}, "batch must be >= 1"),
+        ],
+        ids=["shards-str", "shards-0", "frontier-xyz", "batch-0"],
+    )
+    def test_refused_knob_is_a_client_error(self, served, knobs, match) -> None:
+        with pytest.raises(ServeError, match=match):
+            served.client.submit({"blif": S27_BLIF, "x_latches": X, **knobs})
+        assert served.app.registry.list() == []
+
+
 class TestResidencyOptions:
     def test_budgeted_solve_feeds_the_spill_metrics(self, served) -> None:
         """A submission under a resident budget spills for real, and the

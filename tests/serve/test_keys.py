@@ -13,13 +13,16 @@ import pytest
 from repro.bench import S27_BLIF
 from repro.errors import ServeError
 from repro.network.blif import parse_blif
+from repro.eqn.config import DEFAULTS, RESULT_FIELDS, VALIDATED_FIELDS
 from repro.serve.keys import (
-    FLAG_DEFAULTS,
     cache_key,
     canonical_blif,
     job_spec,
     solve_cache_key,
 )
+
+#: The hashed fields with their defaults.
+FLAG_DEFAULTS = {name: DEFAULTS[name] for name in RESULT_FIELDS}
 
 X = ["G6", "G7"]
 
@@ -109,8 +112,7 @@ class TestBackendExclusion:
         assert spec == job_spec(S27_BLIF, X)
 
     def test_excluded_flags_are_declared(self) -> None:
-        from repro.serve.keys import EXCLUDED_FLAGS
-
+        EXCLUDED_FLAGS = VALIDATED_FIELDS
         assert "backend" in EXCLUDED_FLAGS
         assert not set(EXCLUDED_FLAGS) & set(FLAG_DEFAULTS)
 

@@ -78,3 +78,65 @@ def bdd_minterms(mgr, node: int, variables: Sequence[str]) -> frozenset[tuple[in
         for env in all_assignments(variables)
         if mgr.eval(node, env)
     )
+
+
+def solve_configs(
+    names: Sequence[str] | None = None, *, command: str | None = None
+) -> st.SearchStrategy:
+    """Valid :class:`~repro.eqn.config.SolveConfig` points.
+
+    Each field in ``names`` (default: every field) is drawn from its
+    :class:`~repro.eqn.config.Knob` metadata — its choices (the narrower
+    ``submit_choices`` when ``command`` is ``"submit"``), its type and
+    lower bound, ``None`` when optional; the other fields keep their
+    defaults.  Draws the config refuses as a whole (``shards > 1``
+    outside the partitioned flow, ...) are filtered out.
+    """
+    from repro.eqn.config import KNOBS, SolveConfig
+    from repro.errors import EquationError
+
+    def field_values(knob) -> st.SearchStrategy:
+        choices = (command == "submit" and knob.submit_choices) or knob.choices
+        if choices:
+            values = st.sampled_from(choices)
+        elif knob.type is bool:
+            values = st.booleans()
+        elif knob.type is int:
+            low = int(knob.minimum or 0)
+            values = st.integers(min_value=low, max_value=low + 8)
+        elif knob.type is float:
+            values = st.floats(
+                min_value=knob.minimum or 0.0, max_value=1e4, allow_nan=False
+            )
+        else:
+            values = st.text(alphabet="abc_/.", min_size=1, max_size=8)
+        return st.none() | values if knob.optional else values
+
+    def build(knobs: dict):
+        try:
+            return SolveConfig(**knobs)
+        except EquationError:
+            return None
+
+    names = list(KNOBS) if names is None else list(names)
+    return (
+        st.fixed_dictionaries({n: field_values(KNOBS[n]) for n in names})
+        .map(build)
+        .filter(lambda config: config is not None)
+    )
+
+
+def config_argv(config, command: str) -> list[str]:
+    """The ``repro <command>`` flags that ask for ``config``'s knobs."""
+    from repro.eqn.config import DEFAULTS, command_fields, flag_name
+
+    argv: list[str] = []
+    for name in command_fields(command):
+        value = getattr(config, name)
+        if value == DEFAULTS[name]:
+            continue
+        if isinstance(value, bool):
+            argv.append(flag_name(name))
+        else:
+            argv += [flag_name(name), str(value)]
+    return argv

@@ -99,6 +99,13 @@ class TestSolve:
         assert code == 2
         assert "--shards requires" in capsys.readouterr().err
 
+    def test_solve_refuses_zero_shards(self, blif_file, capsys) -> None:
+        code = main(
+            ["solve", "--blif", blif_file, "--x-latches", "G6", "--shards", "0"]
+        )
+        assert code == 2
+        assert "error: shards must be >= 1" in capsys.readouterr().err
+
     def test_solve_sharded_matches_inprocess(self, blif_file, capsys) -> None:
         code = main(
             [

@@ -84,6 +84,7 @@ def test_api_reference_pages_cover_automata_and_eqn() -> None:
         assert directive in automata
     for directive in (
         "::: repro.eqn.problem",
+        "::: repro.eqn.config",
         "::: repro.eqn.solver",
         "::: repro.eqn.subset",
         "::: repro.eqn.partitioned",

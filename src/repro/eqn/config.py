@@ -17,7 +17,7 @@ expose it, whether the job server accepts it, and its **role**:
 ``cost``
     Bounds or prices a solve without changing what it produces:
     budgets, checkpoint cadence, bounded-memory residency, the
-    compositional shortcut and per-shard sifting.  Never hashed.
+    compositional shortcut.  Never hashed.
 
 The CLI flags of ``repro solve``/``submit``/``reach``/``bench``, the
 canonical job spec, the server's accepted options and the bench row
@@ -132,8 +132,8 @@ class SolveConfig:
         1,
         "result",
         "worker processes for the image computations (1 = in-process; "
-        "N≥2 shards the partitioned flow's partition clusters or the "
-        "reachability relation parts)",
+        "N≥2 splits each image of the partitioned flow or of "
+        "reachability into cofactor slices imaged on the workers)",
         minimum=1,
         commands=("solve", "submit", "reach"),
         served=True,
@@ -230,12 +230,6 @@ class SolveConfig:
         "the direct solve otherwise)",
         commands=("solve",),
         row=True,
-    )
-    sift_parts: bool = _knob(
-        False,
-        "cost",
-        "let every shard worker sift its resident partition into its own "
-        "variable order after plan setup",
     )
 
     def __post_init__(self) -> None:

@@ -111,9 +111,22 @@ class SpillStore:
         return key, True
 
     def get(self, key: str) -> bytes:
-        """Read a blob back by its content key."""
-        with open(self._path(key), "rb") as fh:
-            return fh.read()
+        """Read a blob back by its content key, verifying its hash.
+
+        A missing, truncated or altered file raises
+        :class:`~repro.errors.EquationError` naming the key, so a
+        damaged store can never load as a different function.
+        """
+        try:
+            with open(self._path(key), "rb") as fh:
+                blob = fh.read()
+        except OSError as exc:
+            raise EquationError(f"spill blob {key} is unreadable: {exc}") from exc
+        if hashlib.sha256(blob).hexdigest() != key:
+            raise EquationError(
+                f"spill blob {key} is corrupt: its content does not match its key"
+            )
+        return blob
 
     def __contains__(self, key: str) -> bool:
         return os.path.exists(self._path(key))

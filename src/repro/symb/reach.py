@@ -45,13 +45,13 @@ def reachable_states(
     image is computed over ``ns`` then renamed back to ``cs``.
 
     ``shards=1`` (the default) runs entirely in-process.  With
-    ``shards=N`` (N ≥ 2) the relation parts are clustered across ``N``
-    worker processes (:mod:`repro.shard`) and each image step joins the
-    transferred per-shard partial images in this manager — the frontier
-    sequence, the reached set and the iteration count are identical to
-    the in-process path (the sharded image computes the same function,
-    and BDDs are canonical).  The workers inherit the manager's node
-    budget, runtime policies and backend.
+    ``shards=N`` (N ≥ 2) every relation part is loaded into ``N`` worker
+    processes (:mod:`repro.shard`) and each image step ORs the
+    transferred images of the frontier's cofactor slices in this
+    manager — the frontier sequence, the reached set and the iteration
+    count are identical to the in-process path (the sharded image
+    computes the same function, and BDDs are canonical).  The workers
+    inherit the manager's node budget, runtime policies and backend.
     """
     rename = dict(zip(ns_vars, cs_vars))
     quantify = list(input_vars) + list(cs_vars)

@@ -51,7 +51,6 @@ class TestDeclaration:
     def test_compose_and_spill_dir_are_not_served(self) -> None:
         assert "compose" not in SERVED_FIELDS
         assert "spill_dir" not in SERVED_FIELDS
-        assert "sift_parts" not in SERVED_FIELDS
 
     def test_subcommands_keep_their_flag_sets(self) -> None:
         assert command_fields("reach") == ("schedule", "reorder", "gc", "shards", "backend")

@@ -35,6 +35,9 @@ REACH_NETS = [
     ("counter6", lambda: circuits.counter(6)),
     ("gray5", lambda: circuits.gray_counter(5)),
     ("rand12", lambda: circuits.random_network(3, 12, 3, seed=7, n_nodes=70)),
+    # The reach@shards bench networks (bench.driver._reach_sharded).
+    ("bench12", lambda: circuits.random_network(4, 12, 4, seed=5, n_nodes=110)),
+    ("bench18", lambda: circuits.random_network(4, 18, 4, seed=5, n_nodes=110)),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Join-tree scheduler tests: clustering soundness + sharded images."""
+"""Split-join tests: the sharded image vs the in-process image."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bdd import BddManager
-from repro.shard import ShardPool, ShardedImage, partition_clusters
-from repro.shard.pool import ShardError
+from repro.shard import ShardPool, ShardedImage
 from repro.symb.image import image_partitioned
 
 N_VARS = 8
@@ -35,58 +34,9 @@ def make_parts(mgr, xs, ys, spec):
     return parts
 
 
-class TestPartitionClusters:
-    def test_covers_every_part_once(self) -> None:
-        mgr, xs, ys = relation_manager()
-        parts = make_parts(mgr, xs, ys, [(i, [i]) for i in range(6)])
-        asg = partition_clusters(mgr, parts, 3, xs, set())
-        flat = sorted(i for cluster in asg.clusters for i in cluster)
-        assert flat == list(range(6))
-        assert 1 <= asg.num_clusters <= 3
-
-    def test_never_more_clusters_than_parts(self) -> None:
-        mgr, xs, ys = relation_manager()
-        parts = make_parts(mgr, xs, ys, [(0, [0]), (1, [1])])
-        asg = partition_clusters(mgr, parts, 8, xs, set())
-        assert asg.num_clusters == 2
-
-    def test_local_vars_are_exclusive_and_sound(self) -> None:
-        mgr, xs, ys = relation_manager()
-        # Part i depends on x_i only → every quantified x_i is local.
-        parts = make_parts(mgr, xs, ys, [(i, [i]) for i in range(6)])
-        asg = partition_clusters(mgr, parts, 2, xs[:6], set())
-        seen: set[int] = set()
-        for k, local in enumerate(asg.local_vars):
-            cluster_support = set()
-            for i in asg.clusters[k]:
-                cluster_support |= mgr.support(parts[i])
-            for v in local:
-                assert v not in seen
-                seen.add(v)
-                assert v in cluster_support
-        assert sorted(seen | set(asg.shared_vars)) == sorted(xs[:6])
-
-    def test_constraint_support_blocks_locality(self) -> None:
-        mgr, xs, ys = relation_manager()
-        parts = make_parts(mgr, xs, ys, [(i, [i]) for i in range(4)])
-        # Constraint mentions every x: nothing may retire in-shard.
-        asg = partition_clusters(mgr, parts, 2, xs[:4], set(xs[:4]))
-        assert all(not local for local in asg.local_vars)
-        assert asg.shared_vars == sorted(xs[:4])
-
-    def test_shared_vars_include_cross_cluster_vars(self) -> None:
-        mgr, xs, ys = relation_manager()
-        # x0 appears in every part → never local.
-        parts = make_parts(mgr, xs, ys, [(i, [0, i]) for i in range(4)])
-        asg = partition_clusters(mgr, parts, 2, xs[:4], set())
-        for local in asg.local_vars:
-            assert xs[0] not in local
-
-
 class TestShardedImage:
-    @pytest.mark.parametrize("mode", ["cluster", "split", "auto"])
     @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_matches_in_process_image(self, mode, shards) -> None:
+    def test_matches_in_process_image(self, shards) -> None:
         mgr, xs, ys = relation_manager()
         parts = make_parts(
             mgr, xs, ys, [(0, [0]), (1, [0, 1]), (2, [2, 3]), (3, [3])]
@@ -98,42 +48,32 @@ class TestShardedImage:
         )
         expected = image_partitioned(mgr, parts, psi, quantify)
         with ShardPool(shards, mgr.var_order()) as pool:
-            img = ShardedImage(
-                pool, mgr, parts, quantify, set(xs[:4]), mode=mode
-            )
+            img = ShardedImage(pool, mgr, parts, quantify, set(xs[:4]))
             assert img.run(psi) == expected
             # FALSE constraint short-circuits without worker traffic.
             assert img.run(0) == 0
 
-    def test_auto_picks_split_when_nothing_local(self) -> None:
+    def test_split_join_when_retirement_possible(self) -> None:
         mgr, xs, ys = relation_manager()
         parts = make_parts(mgr, xs, ys, [(i, [i]) for i in range(4)])
-        with ShardPool(2, mgr.var_order()) as pool:
-            img = ShardedImage(pool, mgr, parts, xs[:4], set(xs[:4]))
-            assert img.mode == "split"
-
-    def test_auto_picks_cluster_when_retirement_possible(self) -> None:
-        mgr, xs, ys = relation_manager()
-        parts = make_parts(mgr, xs, ys, [(i, [i]) for i in range(4)])
-        # Constraint over y-space only: every quantified x is local.
+        # Constraint over y-space only: every quantified x could retire
+        # inside a single part, and there is nothing to slice on.
         with ShardPool(2, mgr.var_order()) as pool:
             img = ShardedImage(pool, mgr, parts, xs[:4], set())
-            assert img.mode == "cluster"
             psi = 1
             assert img.run(psi) == image_partitioned(mgr, parts, psi, xs[:4])
-
-    def test_rejects_unknown_mode(self) -> None:
-        mgr, xs, ys = relation_manager()
-        parts = make_parts(mgr, xs, ys, [(0, [0])])
-        with ShardPool(1, mgr.var_order()) as pool:
-            with pytest.raises(ShardError, match="unknown sharded-image mode"):
-                ShardedImage(pool, mgr, parts, xs[:1], set(), mode="bogus")
 
 
 @given(st.data())
 @settings(max_examples=15, deadline=None)
 def test_sharded_image_random_relations(data) -> None:
-    """Random dependency structure, both modes, vs the in-process image."""
+    """Random dependency structure, constraint support and shard count.
+
+    The support bound of the constraint is drawn empty, partial or full
+    (over the quantified variables), which covers the shapes where parts
+    can retire variables on their own as well as those where nothing
+    retires before the constraint is conjoined.
+    """
     mgr, xs, ys = relation_manager()
     n_parts = data.draw(st.integers(2, 5))
     spec = [
@@ -142,12 +82,20 @@ def test_sharded_image_random_relations(data) -> None:
     ]
     parts = make_parts(mgr, xs, ys, spec)
     quantify = xs[:6]
-    cube = data.draw(st.lists(st.sampled_from(xs[:6]), max_size=3))
+    support = data.draw(
+        st.one_of(
+            st.just([]),
+            st.lists(st.sampled_from(quantify), min_size=1, max_size=5, unique=True),
+            st.just(quantify),
+        )
+    )
     psi = 1
-    for v in cube:
-        psi = mgr.apply_and(psi, mgr.var_node(v))
+    if support:
+        cube = data.draw(st.lists(st.sampled_from(support), max_size=3))
+        for v in cube:
+            psi = mgr.apply_and(psi, mgr.var_node(v))
     expected = image_partitioned(mgr, parts, psi, quantify)
-    mode = data.draw(st.sampled_from(["cluster", "split"]))
-    with ShardPool(2, mgr.var_order()) as pool:
-        img = ShardedImage(pool, mgr, parts, quantify, set(xs[:6]), mode=mode)
+    shards = data.draw(st.integers(1, 3))
+    with ShardPool(shards, mgr.var_order()) as pool:
+        img = ShardedImage(pool, mgr, parts, quantify, set(support))
         assert img.run(psi) == expected

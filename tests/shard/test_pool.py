@@ -38,23 +38,23 @@ def test_pool_rejects_zero_shards() -> None:
         ShardPool(0, VARS)
 
 
-def test_load_conjoin_and_exists_roundtrip(mgr) -> None:
+def test_load_plan_image_dump_roundtrip(mgr) -> None:
     a, b = mgr.var_index("a"), mgr.var_index("b")
     f = mgr.apply_or(mgr.var_node(a), mgr.var_node(b))
     g = mgr.apply_iff(mgr.var_node(a), mgr.var_node(b))
     with ShardPool(1, VARS) as pool:
-        hf, hg, hout = pool.new_handle(), pool.new_handle(), pool.new_handle()
+        hf, hg = pool.new_handle(), pool.new_handle()
         pool.call(0, ("load", hf, dump_nodes(mgr, [f])))
         pool.call(0, ("load", hg, dump_nodes(mgr, [g])))
-        pool.call(0, ("conjoin", hout, [hf, hg]))
-        hq = pool.new_handle()
-        pool.call(0, ("and_exists", hq, hf, hg, ["a"]))
-        assert pool.stats()[0]["handles"] == 4
-        # Pull both worker-side results back; edges must coincide with
+        assert pool.stats()[0]["handles"] == 2
+        plan_id = pool.new_handle()
+        pool.call(0, ("plan", plan_id, [hg], ["a"], ["a", "b"]))
+        snapshot = pool.call(0, ("image", plan_id, dump_nodes(mgr, [f])))
+        # Pull both worker-side functions back; edges must coincide with
         # the in-process kernel's (same order, canonical BDDs).
-        (got_and,) = load_nodes(mgr, pool.call(0, ("dump", hout)))
-        (got_q,) = load_nodes(mgr, pool.call(0, ("dump", hq)))
-        assert got_and == mgr.apply_and(f, g)
+        (got_f,) = load_nodes(mgr, pool.call(0, ("dump", hf)))
+        (got_q,) = load_nodes(mgr, snapshot)
+        assert got_f == f
         assert got_q == mgr.and_exists(f, g, [a])
 
 
@@ -128,49 +128,19 @@ def test_worker_own_policies() -> None:
         assert pool.call(0, ("gc",)) == 0  # nothing to reclaim yet
 
 
-class TestOrderProfiles:
-    """Per-shard order autonomy: sift_profile, stats, reset reuse."""
 
-    def test_sift_profiles_record_per_shard_orders(self, mgr) -> None:
-        f = mgr.apply_iff(
-            mgr.var_node(mgr.var_index("a")), mgr.var_node(mgr.var_index("d"))
-        )
-        with ShardPool(2, VARS) as pool:
-            h = pool.new_handle()
-            pool.call(0, ("load", h, dump_nodes(mgr, [f])))
-            replies = pool.sift_profiles()
-            assert len(replies) == 2
-            for shard, reply in enumerate(replies):
-                assert sorted(reply["order"]) == sorted(VARS)
-                assert pool.profiles[shard] == reply["order"]
-                assert reply["swaps"] >= 0
-
-    def test_stats_report_order_profile(self, mgr) -> None:
-        with ShardPool(1, VARS) as pool:
-            assert pool.stats()[0]["order_profile"] == VARS
-
-    def test_reset_reuses_matching_profiles(self, mgr) -> None:
-        with ShardPool(1, VARS) as pool:
-            pool.profiles[0] = ["d", "c", "b", "a"]
-            pool.reset(VARS, reuse_profiles=True)
-            assert pool.stats()[0]["order_profile"] == ["d", "c", "b", "a"]
-            # A plain reset restores the coordinator's order.
-            pool.reset(VARS)
-            assert pool.stats()[0]["order_profile"] == VARS
-
-    def test_reset_drops_mismatched_profiles(self, mgr) -> None:
-        with ShardPool(1, VARS) as pool:
-            pool.profiles[0] = ["z", "c", "b", "a"]  # not a permutation
-            pool.reset(VARS, reuse_profiles=True)
-            assert pool.stats()[0]["order_profile"] == VARS
-            assert 0 not in pool.profiles
-
-    def test_resident_functions_survive_profile_sift(self, mgr) -> None:
-        a, d = mgr.var_index("a"), mgr.var_index("d")
-        f = mgr.apply_xor(mgr.var_node(a), mgr.var_node(d))
-        with ShardPool(1, VARS) as pool:
-            h = pool.new_handle()
-            pool.call(0, ("retain", h, dump_nodes(mgr, [f])))
-            pool.sift_profiles()
-            (back,) = load_nodes(mgr, pool.call(0, ("dump", h)))
-            assert back == f
+def test_reset_drops_state_and_redeclares_variables(mgr) -> None:
+    f = mgr.apply_and(
+        mgr.var_node(mgr.var_index("a")), mgr.nvar_node(mgr.var_index("d"))
+    )
+    with ShardPool(1, VARS) as pool:
+        h = pool.new_handle()
+        pool.call(0, ("load", h, dump_nodes(mgr, [f])))
+        pool.reset(["d", "c", "b", "a"], gc="adaptive")
+        stats = pool.stats()[0]
+        assert (stats["handles"], stats["resident"], stats["plans"]) == (0, 0, 0)
+        # Variables travel by name, so the reversed order round-trips.
+        h = pool.new_handle()
+        pool.call(0, ("load", h, dump_nodes(mgr, [f])))
+        (back,) = load_nodes(mgr, pool.call(0, ("dump", h)))
+        assert back == f

@@ -10,7 +10,10 @@ Three layers of the same contract:
   the order in place, reload — and hand back the *same function*;
 * a budgeted solve is result-identical to the unbounded one: the spill
   machinery may only change when nodes are materialized, never what the
-  solver computes (byte-identical KISS over the Table 1 suite).
+  solver computes (byte-identical KISS over the Table 1 suite);
+* a damaged spill file — truncated or bit-flipped — is refused on
+  reload with a typed :class:`~repro.errors.ReproError`, on the
+  coordinator and in a worker, and never loads as another function.
 """
 
 from __future__ import annotations
@@ -20,15 +23,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.automata.kiss import write_kiss
-from repro.bdd import BddManager, load_nodes
+from repro.bdd import BddManager, dump_nodes, load_nodes
 from repro.bdd.io import FUNCTION_MAGIC, dump_function_packed, load_function_packed
 from repro.bench import circuits
 from repro.bench.suite import TABLE1_CASES
 from repro.eqn.problem import build_latch_split_problem
 from repro.eqn.residency import ResidencyManager, SpillStore, content_key
 from repro.eqn.solver import solve_equation
-from repro.errors import BddError, EquationError
-from repro.shard import ShardPool
+from repro.errors import BddError, EquationError, ReproError
+from repro.shard import ShardError, ShardPool
 
 from tests.strategies import DEFAULT_VARS, bdd_minterms, expressions
 
@@ -44,6 +47,22 @@ def mgr():
 
 def _build(mgr, expr):
     return expr.to_bdd(mgr)
+
+
+def _corrupt(path, how: str) -> None:
+    """Damage a spill file in place: cut it in half, or flip one bit."""
+    with open(path, "rb") as fh:
+        data = bytearray(fh.read())
+    if how == "truncate":
+        data = data[: len(data) // 2]
+    else:
+        data[len(data) // 2] ^= 0x01
+    with open(path, "wb") as fh:
+        fh.write(bytes(data))
+
+
+def _spill_files(root):
+    return sorted(root.glob("*/*.bin"))
 
 
 # --------------------------------------------------------------------- #
@@ -126,6 +145,22 @@ class TestSpillStore:
         # Neither store owns a caller-provided directory.
         writer.close()
         assert reader.get(key) == b"cross-process"
+
+    @pytest.mark.parametrize("how", ["truncate", "bitflip"])
+    def test_damaged_blob_is_refused(self, tmp_path, how) -> None:
+        store = SpillStore(str(tmp_path / "spill"))
+        key, _ = store.put(b"some spilled function blob")
+        (path,) = _spill_files(tmp_path / "spill")
+        _corrupt(path, how)
+        with pytest.raises(EquationError, match=f"spill blob {key} is corrupt"):
+            store.get(key)
+
+    def test_missing_blob_is_refused(self, tmp_path) -> None:
+        store = SpillStore(str(tmp_path / "spill"))
+        key, _ = store.put(b"gone")
+        _spill_files(tmp_path / "spill")[0].unlink()
+        with pytest.raises(EquationError, match=f"spill blob {key} is unreadable"):
+            store.get(key)
 
     def test_owned_tempdir_removed_on_close(self) -> None:
         import os
@@ -369,6 +404,122 @@ class TestWorkerSpill:
             for handle, f in zip(handles, functions):
                 (back,) = load_nodes(m, pool.call(0, ("dump", handle)))
                 assert back == f
+
+
+# --------------------------------------------------------------------- #
+# Fault injection: damaged spill files on both reload sites
+# --------------------------------------------------------------------- #
+
+
+def _blob_path(root, key):
+    return root / key[:2] / (key[2:] + ".bin")
+
+
+class TestSpillCorruption:
+    def _functions(self, mgr):
+        a, b, c = (mgr.var_node(mgr.var_index(v)) for v in "abc")
+        return [mgr.apply_xor(a, b), mgr.apply_or(mgr.apply_and(a, c), b)]
+
+    @pytest.mark.parametrize("how", ["truncate", "bitflip"])
+    def test_coordinator_reload_refuses_damaged_blob(
+        self, mgr, tmp_path, how
+    ) -> None:
+        root = tmp_path / "spill"
+        residency = ResidencyManager(mgr, 1, spill_dir=str(root))
+        fs = self._functions(mgr)
+        for sid, f in enumerate(fs):
+            mgr.ref(f)
+            residency.admit(f, sid)
+            residency.mark_expanded(f)
+        evicted = residency.enforce()
+        assert sorted(evicted) == sorted(fs)
+        for f in evicted:
+            mgr.deref(f)
+        damaged, _ = content_key(mgr, fs[0])
+        _corrupt(_blob_path(root, damaged), how)
+        with pytest.raises(EquationError, match=f"spill blob {damaged} is corrupt"):
+            residency.restore_all()
+        residency.close()
+
+    @pytest.mark.parametrize("how", ["truncate", "bitflip"])
+    def test_worker_reload_refuses_damaged_blob(self, mgr, tmp_path, how) -> None:
+        root = tmp_path / "spill"
+        fs = self._functions(mgr)
+        with ShardPool(1, VARS, spill_dir=str(root)) as pool:
+            handles = []
+            for f in fs:
+                handle = pool.new_handle()
+                pool.call(0, ("retain", handle, dump_nodes(mgr, [f])))
+                handles.append(handle)
+            assert pool.call(0, ("spill", None)) == len(fs)
+            damaged, _ = content_key(mgr, fs[0])
+            _corrupt(_blob_path(root, damaged), how)
+            for _ in range(2):  # refused on every touch, not dropped
+                with pytest.raises(
+                    ShardError, match=f"spill blob {damaged} is corrupt"
+                ):
+                    pool.call(0, ("dump", handles[0]))
+            # The intact entry still reloads; the worker keeps serving.
+            (back,) = load_nodes(mgr, pool.call(0, ("dump", handles[1])))
+            assert back == fs[1]
+
+    @pytest.mark.parametrize("how", ["truncate", "bitflip"])
+    def test_budgeted_solve_with_damaged_spill_raises(self, tmp_path, how) -> None:
+        """A checkpoint reloads every evicted ψ on the coordinator."""
+        root = tmp_path / "spill"
+        prob = build_latch_split_problem(
+            circuits.johnson(8), ["j1", "j3", "j5", "j7"]
+        )
+
+        damaged: set = set()
+
+        def damage(_event) -> None:
+            for path in _spill_files(root):
+                if path not in damaged:
+                    _corrupt(path, how)
+                    damaged.add(path)
+
+        with pytest.raises(ReproError, match="spill blob .* is corrupt"):
+            solve_equation(
+                prob,
+                method="partitioned",
+                resident_budget=20,
+                spill_dir=str(root),
+                checkpoint_every=4,
+                progress=damage,
+                checkpoint=lambda _snapshot: None,
+            )
+        assert damaged
+
+    @pytest.mark.parametrize("how", ["truncate", "bitflip"])
+    def test_sharded_solve_with_damaged_spill_raises(
+        self, tmp_path, monkeypatch, how
+    ) -> None:
+        """Workers spill and reload within one batch, so the damage is
+        injected as the blob lands on disk; the pool forks after the
+        patch, so the workers inherit it."""
+        put = SpillStore.put
+
+        def damaging_put(store, blob):
+            key, written = put(store, blob)
+            if written:
+                _corrupt(store._path(key), how)
+            return key, written
+
+        monkeypatch.setattr(SpillStore, "put", damaging_put)
+        prob = build_latch_split_problem(
+            circuits.johnson(8), ["j1", "j3", "j5", "j7"]
+        )
+        with pytest.raises(ShardError, match="spill blob .* is corrupt"):
+            solve_equation(
+                prob,
+                method="partitioned",
+                shards=2,
+                frontier="bfs",
+                batch=8,
+                resident_budget=40,
+                spill_dir=str(tmp_path / "spill"),
+            )
 
 
 # --------------------------------------------------------------------- #

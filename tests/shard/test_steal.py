@@ -1,21 +1,17 @@
-"""Work-stealing dispatch and the speculative join race.
+"""Work-stealing dispatch of the split join.
 
 The disjunctive split join is placement-independent: OR is commutative
 and associative and BDDs are canonical, so however the work-stealing
 dispatcher re-routes cofactor slices, the joined image must be
 edge-identical to the in-process reference.  These tests force steals
 deterministically (by pinning the dispatcher's ``wait_any`` to one
-shard) and pin the race-mode contract: both joins agree, the winner is
-committed, and the loser's worker-side parts are freed.
+shard).
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bdd import BddManager, dump_nodes
 from repro.shard import ShardPool, ShardedImage
-from repro.shard.pool import ShardError
 from repro.symb.image import image_partitioned
 
 N_VARS = 8
@@ -41,9 +37,7 @@ def make_parts(mgr, xs, ys, spec):
 
 
 def split_image(pool, mgr, xs, parts):
-    return ShardedImage(
-        pool, mgr, parts, xs[:4], set(xs[:4]), mode="split"
-    )
+    return ShardedImage(pool, mgr, parts, xs[:4], set(xs[:4]))
 
 
 def retain_everywhere(pool, mgr, handle, edge):
@@ -121,63 +115,3 @@ class TestWorkStealing:
             img = split_image(pool, mgr, xs, parts)
             assert img.steals == 0
 
-
-class TestSpeculativeRace:
-    def _race_setup(self):
-        mgr, xs, ys = relation_manager()
-        # x0..x2 shared by every part, x3 private to the last: one of
-        # four contested variables retires in-shard — the genuinely
-        # unsure regime where auto arms the race.
-        parts = make_parts(
-            mgr, xs, ys, [(0, [0, 1, 2]), (1, [0, 1, 2]), (2, [0, 1, 2, 3])]
-        )
-        return mgr, xs, parts
-
-    def test_auto_arms_race_when_unsure(self) -> None:
-        mgr, xs, parts = self._race_setup()
-        with ShardPool(2, mgr.var_order()) as pool:
-            img = ShardedImage(pool, mgr, parts, xs[:4], set())
-            assert img.mode == "race"
-
-    def test_resolve_race_commits_winner_and_agrees(self) -> None:
-        mgr, xs, parts = self._race_setup()
-        psi = mgr.apply_or(mgr.var_node(xs[0]), mgr.var_node(xs[3]))
-        expected = image_partitioned(mgr, parts, psi, xs[:4])
-        with ShardPool(2, mgr.var_order()) as pool:
-            img = ShardedImage(pool, mgr, parts, xs[:4], set(), mode="race")
-            assert img.run(psi) == expected
-            assert img.mode in ("cluster", "split")
-            assert img.race_outcome is not None
-            assert img.race_outcome["winner"] == img.mode
-            assert img.race_outcome["cluster_seconds"] >= 0
-            assert img.race_outcome["split_seconds"] >= 0
-            # The committed join keeps working after the race.
-            assert img.run(psi) == expected
-
-    def test_false_constraint_does_not_resolve(self) -> None:
-        mgr, xs, parts = self._race_setup()
-        with ShardPool(2, mgr.var_order()) as pool:
-            img = ShardedImage(pool, mgr, parts, xs[:4], set(), mode="race")
-            assert img.run(0) == 0
-            assert img.mode == "race"
-            assert img.race_outcome is None
-
-    def test_resolve_race_requires_race_mode(self) -> None:
-        mgr, xs, ys = relation_manager()
-        parts = make_parts(mgr, xs, ys, [(0, [0])])
-        with ShardPool(1, mgr.var_order()) as pool:
-            img = ShardedImage(pool, mgr, parts, xs[:1], set(), mode="split")
-            with pytest.raises(ShardError, match="resolve_race"):
-                img.resolve_race(1)
-
-    def test_submit_resident_commits_cluster(self) -> None:
-        mgr, xs, parts = self._race_setup()
-        psi = mgr.var_node(xs[0])
-        with ShardPool(2, mgr.var_order()) as pool:
-            img = ShardedImage(pool, mgr, parts, xs[:4], set(), mode="race")
-            handle = pool.new_handle()
-            retain_everywhere(pool, mgr, handle, psi)
-            collect = img.submit_resident([(handle, psi)])
-            assert img.mode == "cluster"
-            (result,) = collect()
-            assert result == image_partitioned(mgr, parts, psi, xs[:4])

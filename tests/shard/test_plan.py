@@ -35,8 +35,11 @@ def make_parts(mgr, xs, ys, spec):
 
 
 class TestShardedImage:
+    @pytest.mark.parametrize("support", ["empty", "partial", "full"])
     @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_matches_in_process_image(self, shards) -> None:
+    def test_matches_in_process_image(self, support, shards) -> None:
+        """The declared constraint support decides what the split join
+        slices on: nothing, some or all of the quantified variables."""
         mgr, xs, ys = relation_manager()
         parts = make_parts(
             mgr, xs, ys, [(0, [0]), (1, [0, 1]), (2, [2, 3]), (3, [3])]
@@ -46,9 +49,12 @@ class TestShardedImage:
             mgr.apply_and(mgr.var_node(xs[0]), mgr.var_node(xs[2])),
             mgr.nvar_node(xs[1]),
         )
+        csupp = {"empty": set(), "partial": set(xs[:3]), "full": set(xs[:4])}
+        if support == "empty":
+            psi = 1
         expected = image_partitioned(mgr, parts, psi, quantify)
         with ShardPool(shards, mgr.var_order()) as pool:
-            img = ShardedImage(pool, mgr, parts, quantify, set(xs[:4]))
+            img = ShardedImage(pool, mgr, parts, quantify, csupp[support])
             assert img.run(psi) == expected
             # FALSE constraint short-circuits without worker traffic.
             assert img.run(0) == 0

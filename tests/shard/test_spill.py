@@ -18,6 +18,8 @@ Three layers of the same contract:
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -49,16 +51,27 @@ def _build(mgr, expr):
     return expr.to_bdd(mgr)
 
 
+def _damaged(blob: bytes, how: str) -> bytes:
+    """``blob`` cut in half, or with one bit flipped."""
+    data = bytearray(blob)
+    if how == "truncate":
+        return bytes(data[: len(data) // 2])
+    data[len(data) // 2] ^= 0x01
+    return bytes(data)
+
+
+def _write_atomic(path, data: bytes) -> None:
+    tmp = f"{path}.damage-{os.getpid()}"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
 def _corrupt(path, how: str) -> None:
     """Damage a spill file in place: cut it in half, or flip one bit."""
     with open(path, "rb") as fh:
-        data = bytearray(fh.read())
-    if how == "truncate":
-        data = data[: len(data) // 2]
-    else:
-        data[len(data) // 2] ^= 0x01
-    with open(path, "wb") as fh:
-        fh.write(bytes(data))
+        data = fh.read()
+    _write_atomic(path, _damaged(data, how))
 
 
 def _spill_files(root):
@@ -497,13 +510,19 @@ class TestSpillCorruption:
     ) -> None:
         """Workers spill and reload within one batch, so the damage is
         injected as the blob lands on disk; the pool forks after the
-        patch, so the workers inherit it."""
+        patch, so the workers inherit it.
+
+        Both workers may spill the same ψ at the same moment.  Each
+        writes the damage computed from the blob it holds, atomically:
+        a read-modify-write of the shared file could flip one bit twice
+        (restoring the blob) or read the other worker's half-written
+        file."""
         put = SpillStore.put
 
         def damaging_put(store, blob):
             key, written = put(store, blob)
             if written:
-                _corrupt(store._path(key), how)
+                _write_atomic(store._path(key), _damaged(blob, how))
             return key, written
 
         monkeypatch.setattr(SpillStore, "put", damaging_put)
